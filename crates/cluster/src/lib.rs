@@ -6,10 +6,11 @@
 //! CPU cost, and implements every experiment of the paper's evaluation
 //! (§IV): see [`experiments`] for the measurement procedures and
 //! [`scenario`] for the declarative layer (builders, fault plans, the
-//! generic driver, and the registry of runnable experiments). The
-//! [`sharded`] module scales the single group out horizontally: N
-//! independent Raft groups (one per hash partition of the keyspace) in one
-//! world, served through a per-shard batching client.
+//! generic driver, and the registry of runnable experiments). One
+//! [`Cluster`] type runs every world: the KV app or the [`broker`], one
+//! Raft group or — through the [`sharded`] config — N independent groups
+//! (one per hash partition of the keyspace) served through a per-shard
+//! batching client.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,7 +31,8 @@ pub mod sim;
 
 pub use app::{App, BrokerApp, KvApp};
 pub use broker::{
-    BrokerClient, BrokerClusterSim, BrokerConfig, BrokerStats, BrokerWorkload, ConsumerStats,
+    BrokerClient, BrokerClusterSim, BrokerConfig, BrokerHost, BrokerStats, BrokerWorkload,
+    ConsumerStats,
 };
 pub use client::{ClientHost, OpRecord, StepRecord};
 pub use cpu::{CostModel, CpuMeter};
@@ -46,5 +48,7 @@ pub use scenario::{
 };
 pub use server::{CompactionPolicy, ReadCounters, ReadStrategy, ServerHost};
 pub use shard_client::{ShardClient, ShardStats};
-pub use sharded::{ShardedClusterSim, ShardedConfig};
-pub use sim::{ClusterConfig, ClusterHost, ClusterSim, WorkloadSpec};
+pub use sharded::ShardedConfig;
+pub use sim::{
+    AppHost, Cluster, ClusterConfig, ClusterHost, ClusterSim, ClusterSpec, WorkloadSpec,
+};

@@ -25,7 +25,7 @@
 //! this granularity because the Raft layer rejects duplicates
 //! (already-a-learner, change-in-flight) instead of double-applying them.
 
-use crate::sharded::ShardedClusterSim;
+use crate::sim::ClusterSim;
 use dynatune_kv::ShardId;
 use dynatune_raft::{ConfChange, NodeId};
 
@@ -56,7 +56,7 @@ pub enum RebalancePhase {
     Done,
 }
 
-/// Drives one replica move on a [`ShardedClusterSim`].
+/// Drives one replica move on a [`ClusterSim`].
 pub struct Rebalancer {
     shard: ShardId,
     /// World id of the joining spare.
@@ -76,7 +76,7 @@ impl Rebalancer {
     /// retires (a mapped replica's world id). Both must belong to the
     /// shard's group.
     #[must_use]
-    pub fn new(sim: &ShardedClusterSim, shard: ShardId, add: NodeId, remove: NodeId) -> Self {
+    pub fn new(sim: &ClusterSim, shard: ShardId, add: NodeId, remove: NodeId) -> Self {
         let members = sim.members_of(shard);
         assert!(
             members.contains(&add) && members.contains(&remove),
@@ -126,7 +126,7 @@ impl Rebalancer {
         self.remove
     }
 
-    fn propose(&mut self, sim: &mut ShardedClusterSim, change: ConfChange) -> bool {
+    fn propose(&mut self, sim: &mut ClusterSim, change: ConfChange) -> bool {
         let sent = sim.propose_conf_change(self.shard, change);
         if sent {
             self.proposals += 1;
@@ -137,7 +137,7 @@ impl Rebalancer {
     /// Advance the move by at most one action. Call between simulation
     /// slices (`run_for`); with no live leader the step is a no-op and the
     /// next call retries.
-    pub fn step(&mut self, sim: &mut ShardedClusterSim) {
+    pub fn step(&mut self, sim: &mut ClusterSim) {
         let Some(leader) = sim.leader_of(self.shard) else {
             return;
         };

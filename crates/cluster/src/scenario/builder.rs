@@ -1,17 +1,14 @@
 //! Fluent scenario construction: [`NetPlan`] (the network as data) and
-//! [`ScenarioBuilder`] (typed assembly of a [`ClusterConfig`]).
-//!
-//! `ClusterConfig` has sixteen public fields; before this module every
-//! experiment built one with `ClusterConfig::stable(..)` and then mutated
-//! fields ad hoc. The builder composes topology, tuning, workload and
+//! [`ScenarioBuilder`] (typed assembly of a [`ClusterConfig`] or a
+//! [`ShardedConfig`]). The builder composes topology, tuning, workload and
 //! network plans explicitly, and is the single construction path used by
 //! the experiment catalog, the figure binaries and the examples.
 
 use crate::broker::{BrokerClusterSim, BrokerConfig, BrokerWorkload};
 use crate::cpu::CostModel;
 use crate::server::{CompactionPolicy, ReadStrategy};
-use crate::sharded::{ShardedClusterSim, ShardedConfig};
-use crate::sim::{ClusterConfig, ClusterSim, WorkloadSpec};
+use crate::sharded::ShardedConfig;
+use crate::sim::{Cluster, ClusterConfig, ClusterSim, WorkloadSpec};
 use dynatune_core::TuningConfig;
 use dynatune_kv::ShardMap;
 use dynatune_raft::TimerQuantization;
@@ -110,79 +107,40 @@ impl NetPlan {
     }
 }
 
-/// Typed, fluent construction of a [`ClusterConfig`].
+/// Typed, fluent construction of a [`ClusterConfig`] (or, with a shard
+/// dimension, a [`ShardedConfig`]).
 ///
-/// Defaults match `ClusterConfig::stable(n, tuning, 100ms, 0)`: etcd-style
-/// tick quantization, pre-vote and check-quorum on, UDP heartbeats, 4
-/// cores, 5 s CPU windows.
+/// Defaults are `ClusterConfig::stable(n, raft_default, 100ms, 0)`:
+/// etcd-style tick quantization, pre-vote and check-quorum on, UDP
+/// heartbeats, 4 cores, 5 s CPU windows.
 #[derive(Debug, Clone)]
 pub struct ScenarioBuilder {
-    n: usize,
+    /// Every knob but the network, which resolves at build time.
+    config: ClusterConfig,
     shards: usize,
-    spares: usize,
     shard_spares: Vec<usize>,
-    tuning: TuningConfig,
     net: NetPlan,
     congestion: Option<CongestionConfig>,
-    quantization: TimerQuantization,
-    udp_heartbeats: bool,
-    pre_vote: bool,
-    check_quorum: bool,
-    suppress_heartbeats: bool,
-    consolidated_timer: bool,
-    cost: CostModel,
-    compaction: CompactionPolicy,
-    read_strategy: ReadStrategy,
-    follower_reads: bool,
-    pipeline_window: usize,
-    max_batch_bytes: usize,
-    max_batch_delay: Duration,
-    max_entries_per_append: usize,
-    cores: usize,
-    cpu_window: Duration,
-    seed: u64,
-    workload: Option<WorkloadSpec>,
-    client_link: NetParams,
 }
 
 impl ScenarioBuilder {
     /// Start a scenario with `n` servers on the stable 100 ms mesh.
     #[must_use]
     pub fn cluster(n: usize) -> Self {
+        let rtt = Duration::from_millis(100);
         Self {
-            n,
+            config: ClusterConfig::stable(n, TuningConfig::raft_default(), rtt, 0),
             shards: 1,
-            spares: 0,
             shard_spares: Vec::new(),
-            tuning: TuningConfig::raft_default(),
-            net: NetPlan::stable(Duration::from_millis(100)),
+            net: NetPlan::stable(rtt),
             congestion: None,
-            quantization: TimerQuantization::Tick,
-            udp_heartbeats: true,
-            pre_vote: true,
-            check_quorum: true,
-            suppress_heartbeats: false,
-            consolidated_timer: false,
-            cost: CostModel::default(),
-            compaction: CompactionPolicy::default(),
-            read_strategy: ReadStrategy::default(),
-            follower_reads: true,
-            pipeline_window: 4,
-            max_batch_bytes: 64 * 1024,
-            max_batch_delay: Duration::from_millis(1),
-            max_entries_per_append: 8192,
-            cores: 4,
-            cpu_window: Duration::from_secs(5),
-            seed: 0,
-            workload: None,
-            client_link: NetParams::lan(),
         }
     }
 
     /// Select the tuning mode (Raft / Raft-Low / Fix-K / Dynatune).
     #[must_use]
     pub fn tuning(mut self, tuning: TuningConfig) -> Self {
-        self.tuning = tuning;
+        self.config.tuning = tuning;
         self
     }
 
@@ -199,12 +157,12 @@ impl ScenarioBuilder {
     /// Attach `spares` outsider servers to the single group: hosts on the
     /// fabric from t=0 that belong to no quorum until a configuration
     /// change admits them (elastic scale-out; see
-    /// [`ClusterSim::propose_conf_change`](crate::sim::ClusterSim::propose_conf_change)).
+    /// [`Cluster::propose_conf_change`]).
     /// The net plan must be uniform/custom — geo plans name one region per
     /// voter and cannot place spares.
     #[must_use]
     pub fn spares(mut self, spares: usize) -> Self {
-        self.spares = spares;
+        self.config.spare_servers = spares;
         self
     }
 
@@ -234,28 +192,28 @@ impl ScenarioBuilder {
     /// Election-timer quantization.
     #[must_use]
     pub fn quantization(mut self, quantization: TimerQuantization) -> Self {
-        self.quantization = quantization;
+        self.config.quantization = quantization;
         self
     }
 
     /// Heartbeats over UDP (paper hybrid transport) or TCP (ablation).
     #[must_use]
     pub fn udp_heartbeats(mut self, udp: bool) -> Self {
-        self.udp_heartbeats = udp;
+        self.config.udp_heartbeats = udp;
         self
     }
 
     /// Pre-vote on/off.
     #[must_use]
     pub fn pre_vote(mut self, pre_vote: bool) -> Self {
-        self.pre_vote = pre_vote;
+        self.config.pre_vote = pre_vote;
         self
     }
 
     /// Check-quorum on/off.
     #[must_use]
     pub fn check_quorum(mut self, check_quorum: bool) -> Self {
-        self.check_quorum = check_quorum;
+        self.config.check_quorum = check_quorum;
         self
     }
 
@@ -263,15 +221,15 @@ impl ScenarioBuilder {
     /// consolidated heartbeat timer.
     #[must_use]
     pub fn extensions(mut self, suppress: bool, consolidated: bool) -> Self {
-        self.suppress_heartbeats = suppress;
-        self.consolidated_timer = consolidated;
+        self.config.suppress_heartbeats = suppress;
+        self.config.consolidated_timer = consolidated;
         self
     }
 
     /// CPU cost model.
     #[must_use]
     pub fn cost(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
+        self.config.cost = cost;
         self
     }
 
@@ -280,7 +238,7 @@ impl ScenarioBuilder {
     /// catch-up at simulation-friendly write volumes.
     #[must_use]
     pub fn compaction(mut self, threshold: usize, tail: u64) -> Self {
-        self.compaction = CompactionPolicy { threshold, tail };
+        self.config.compaction = CompactionPolicy { threshold, tail };
         self
     }
 
@@ -288,7 +246,7 @@ impl ScenarioBuilder {
     /// or leader-lease reads with ReadIndex fallback (the default).
     #[must_use]
     pub fn reads(mut self, strategy: ReadStrategy) -> Self {
-        self.read_strategy = strategy;
+        self.config.read_strategy = strategy;
         self
     }
 
@@ -296,7 +254,7 @@ impl ScenarioBuilder {
     /// under any log-free read strategy).
     #[must_use]
     pub fn follower_reads(mut self, enabled: bool) -> Self {
-        self.follower_reads = enabled;
+        self.config.follower_reads = enabled;
         self
     }
 
@@ -304,7 +262,7 @@ impl ScenarioBuilder {
     /// the pre-pipelining ping-pong for ablations).
     #[must_use]
     pub fn pipeline_window(mut self, window: usize) -> Self {
-        self.pipeline_window = window;
+        self.config.pipeline_window = window;
         self
     }
 
@@ -313,8 +271,8 @@ impl ScenarioBuilder {
     /// whichever comes first.
     #[must_use]
     pub fn group_commit(mut self, bytes: usize, delay: Duration) -> Self {
-        self.max_batch_bytes = bytes;
-        self.max_batch_delay = delay;
+        self.config.max_batch_bytes = bytes;
+        self.config.max_batch_delay = delay;
         self
     }
 
@@ -322,43 +280,54 @@ impl ScenarioBuilder {
     /// it so replication stays RTT-bound and the pipeline depth shows.
     #[must_use]
     pub fn max_entries_per_append(mut self, cap: usize) -> Self {
-        self.max_entries_per_append = cap;
+        self.config.max_entries_per_append = cap;
         self
     }
 
     /// Cores per server (paper: 4 for Figs. 4–6, 2 for Fig. 7).
     #[must_use]
     pub fn cores(mut self, cores: usize) -> Self {
-        self.cores = cores;
+        self.config.cores = cores;
         self
     }
 
     /// Utilization sampling window.
     #[must_use]
     pub fn cpu_window(mut self, window: Duration) -> Self {
-        self.cpu_window = window;
+        self.config.cpu_window = window;
         self
     }
 
     /// Master seed; all randomness derives from it.
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.config.seed = seed;
         self
     }
 
     /// Attach an open-loop client workload.
     #[must_use]
     pub fn workload(mut self, spec: WorkloadSpec) -> Self {
-        self.workload = Some(spec);
+        self.config.workload = Some(spec);
         self
     }
 
     /// Network parameters of client↔server links.
     #[must_use]
     pub fn client_link(mut self, params: NetParams) -> Self {
-        self.client_link = params;
+        self.config.client_link = params;
         self
+    }
+
+    /// The knobs with the net plan resolved over `hosts` servers.
+    fn resolved(self, hosts: usize) -> ClusterConfig {
+        ClusterConfig {
+            topology: self.net.topology(hosts),
+            congestion: self
+                .congestion
+                .unwrap_or_else(|| self.net.default_congestion()),
+            ..self.config
+        }
     }
 
     /// Resolve into the flat [`ClusterConfig`].
@@ -376,127 +345,69 @@ impl ScenarioBuilder {
             self.shard_spares.is_empty(),
             "per-shard spares resolve via build_sharded()"
         );
-        let congestion = self
-            .congestion
-            .unwrap_or_else(|| self.net.default_congestion());
-        ClusterConfig {
-            n: self.n,
-            spare_servers: self.spares,
-            tuning: self.tuning,
-            topology: self.net.topology(self.n + self.spares),
-            congestion,
-            quantization: self.quantization,
-            udp_heartbeats: self.udp_heartbeats,
-            pre_vote: self.pre_vote,
-            check_quorum: self.check_quorum,
-            suppress_heartbeats: self.suppress_heartbeats,
-            consolidated_timer: self.consolidated_timer,
-            cost: self.cost,
-            compaction: self.compaction,
-            read_strategy: self.read_strategy,
-            follower_reads: self.follower_reads,
-            pipeline_window: self.pipeline_window,
-            max_batch_bytes: self.max_batch_bytes,
-            max_batch_delay: self.max_batch_delay,
-            max_entries_per_append: self.max_entries_per_append,
-            cores: self.cores,
-            cpu_window: self.cpu_window,
-            seed: self.seed,
-            workload: self.workload,
-            client_link: self.client_link,
-        }
+        let hosts = self.config.n + self.config.spare_servers;
+        self.resolved(hosts)
     }
 
     /// Build and instantiate the cluster.
     #[must_use]
     pub fn build_sim(self) -> ClusterSim {
-        ClusterSim::new(&self.build())
+        Cluster::new(&self.build())
+    }
+
+    /// Resolve the multi-group config the sharded and broker builds share:
+    /// `shards` independent groups of `n` replicas each, plus the per-shard
+    /// spares, the net plan resolved over all of them.
+    fn grouped<W>(mut self, workload: Option<W>) -> ShardedConfig<W> {
+        assert_eq!(
+            self.config.spare_servers, 0,
+            "single-group spares resolve via build()"
+        );
+        let map = ShardMap::new(self.shards, self.config.n);
+        let spares = std::mem::take(&mut self.shard_spares);
+        for &shard in &spares {
+            assert!(shard < self.shards, "spare names a shard out of range");
+        }
+        self.resolved(map.n_servers() + spares.len())
+            .place(map, spares, workload)
     }
 
     /// Resolve into a [`ShardedConfig`]: `shards` independent groups of
     /// `n` replicas each, the net plan resolved over all servers.
+    ///
+    /// # Panics
+    /// Panics when single-group spares were set.
     #[must_use]
-    pub fn build_sharded(self) -> ShardedConfig {
-        assert_eq!(self.spares, 0, "single-group spares resolve via build()");
-        let map = ShardMap::new(self.shards, self.n);
-        for &shard in &self.shard_spares {
-            assert!(shard < self.shards, "spare names a shard out of range");
-        }
-        let congestion = self
-            .congestion
-            .unwrap_or_else(|| self.net.default_congestion());
-        let n_hosts = map.n_servers() + self.shard_spares.len();
-        ShardedConfig {
-            map,
-            spares: self.shard_spares,
-            tuning: self.tuning,
-            topology: self.net.topology(n_hosts),
-            congestion,
-            quantization: self.quantization,
-            udp_heartbeats: self.udp_heartbeats,
-            pre_vote: self.pre_vote,
-            check_quorum: self.check_quorum,
-            cost: self.cost,
-            compaction: self.compaction,
-            read_strategy: self.read_strategy,
-            follower_reads: self.follower_reads,
-            read_fanout: false,
-            pipeline_window: self.pipeline_window,
-            max_batch_bytes: self.max_batch_bytes,
-            max_batch_delay: self.max_batch_delay,
-            max_entries_per_append: self.max_entries_per_append,
-            cores: self.cores,
-            cpu_window: self.cpu_window,
-            seed: self.seed,
-            workload: self.workload,
-            client_link: self.client_link,
-        }
+    pub fn build_sharded(mut self) -> ShardedConfig {
+        let workload = self.config.workload.take();
+        self.grouped(workload)
     }
 
     /// Build and instantiate the sharded cluster.
     #[must_use]
-    pub fn build_sharded_sim(self) -> ShardedClusterSim {
-        ShardedClusterSim::new(&self.build_sharded())
+    pub fn build_sharded_sim(self) -> ClusterSim {
+        Cluster::new(&self.build_sharded())
     }
 
     /// Resolve into a [`BrokerConfig`]: the same placement and replication
     /// knobs as [`Self::build_sharded`], serving the broker app with
     /// `workload` driving producers and consumer groups.
+    ///
+    /// # Panics
+    /// Panics when a KV workload or single-group spares were set.
     #[must_use]
     pub fn build_broker(self, workload: BrokerWorkload) -> BrokerConfig {
-        let map = ShardMap::new(self.shards, self.n);
-        let congestion = self
-            .congestion
-            .unwrap_or_else(|| self.net.default_congestion());
-        BrokerConfig {
-            map,
-            tuning: self.tuning,
-            topology: self.net.topology(map.n_servers()),
-            congestion,
-            quantization: self.quantization,
-            udp_heartbeats: self.udp_heartbeats,
-            pre_vote: self.pre_vote,
-            check_quorum: self.check_quorum,
-            cost: self.cost,
-            compaction: self.compaction,
-            read_strategy: self.read_strategy,
-            follower_reads: self.follower_reads,
-            pipeline_window: self.pipeline_window,
-            max_batch_bytes: self.max_batch_bytes,
-            max_batch_delay: self.max_batch_delay,
-            max_entries_per_append: self.max_entries_per_append,
-            cores: self.cores,
-            cpu_window: self.cpu_window,
-            seed: self.seed,
-            workload: Some(workload),
-            client_link: self.client_link,
-        }
+        assert!(
+            self.config.workload.is_none(),
+            "a KV workload resolves via build() or build_sharded()"
+        );
+        self.grouped(Some(workload))
     }
 
     /// Build and instantiate the broker cluster.
     #[must_use]
     pub fn build_broker_sim(self, workload: BrokerWorkload) -> BrokerClusterSim {
-        BrokerClusterSim::new(&self.build_broker(workload))
+        Cluster::new(&self.build_broker(workload))
     }
 }
 
@@ -564,5 +475,40 @@ mod tests {
     #[should_panic(expected = "one region per server")]
     fn geo_plan_size_mismatch_panics() {
         let _ = ScenarioBuilder::cluster(3).net(NetPlan::geo()).build();
+    }
+
+    fn topic() -> BrokerWorkload {
+        BrokerWorkload::steady(vec![("t".into(), 2)], 100.0)
+    }
+
+    /// Whether every server of `sim` runs both §IV-E extensions.
+    fn extensions_on<H: crate::AppHost>(sim: &Cluster<H>) -> bool {
+        (0..sim.n_servers()).all(|id| {
+            sim.with_server(id, |s| {
+                let config = s.node().config();
+                config.suppress_heartbeats_when_replicating && config.consolidated_heartbeat_timer
+            })
+        })
+    }
+
+    #[test]
+    fn sharded_and_broker_builds_keep_the_extensions() {
+        let builder = ScenarioBuilder::cluster(3).shards(2).extensions(true, true);
+        assert!(extensions_on(&builder.clone().build_sharded_sim()));
+        assert!(extensions_on(&builder.build_broker_sim(topic())));
+    }
+
+    #[test]
+    #[should_panic(expected = "a KV workload resolves via build()")]
+    fn broker_build_rejects_a_kv_workload() {
+        let _ = ScenarioBuilder::cluster(3)
+            .workload(WorkloadSpec::steady(100.0, Duration::from_secs(1)))
+            .build_broker(topic());
+    }
+
+    #[test]
+    #[should_panic(expected = "single-group spares resolve via build()")]
+    fn broker_build_rejects_single_group_spares() {
+        let _ = ScenarioBuilder::cluster(3).spares(1).build_broker(topic());
     }
 }

@@ -21,10 +21,9 @@ use super::wired;
 use crate::cpu::CostModel;
 use crate::observers::extract_failover;
 use crate::scenario::{Experiment, Report, RunCtx, ScenarioBuilder};
-use crate::sharded::ShardedClusterSim;
+use crate::sim::ClusterSim;
 use crate::sim::WorkloadSpec;
 use dynatune_core::TuningConfig;
-use dynatune_kv::{OpMix, RateStep};
 use dynatune_simnet::SimTime;
 use rayon::prelude::*;
 use std::time::Duration;
@@ -45,18 +44,12 @@ const REPLICAS: usize = 3;
 
 fn steady_workload(rps: f64, hold: Duration, zipf_theta: f64, start: Duration) -> WorkloadSpec {
     WorkloadSpec {
-        steps: vec![RateStep { rps, hold }],
-        mix: OpMix::write_heavy(),
-        key_space: 10_000,
         zipf_theta,
-        value_size: 128,
-        start_offset: start,
         // Throughput-style scenarios disable retries-on-silence; the
         // failover scenario re-enables them (clients must escape a dead
         // leader).
         request_timeout: None,
-        read_fanout: false,
-        record_trace: false,
+        ..WorkloadSpec::steady(rps, hold).starting_at(start)
     }
 }
 
@@ -65,7 +58,7 @@ fn sharded_sim(
     tuning: TuningConfig,
     seed: u64,
     workload: WorkloadSpec,
-) -> ShardedClusterSim {
+) -> ClusterSim {
     ScenarioBuilder::cluster(REPLICAS)
         .shards(shards)
         .tuning(tuning)
@@ -345,7 +338,7 @@ pub fn measure_isolation(ctx: &RunCtx, label: &str, tuning: TuningConfig) -> Fai
     let seed = ctx.system_seed(label);
     let mut sim = sharded_sim(shards, tuning, seed, workload);
 
-    let snapshot = |sim: &ShardedClusterSim| {
+    let snapshot = |sim: &ClusterSim| {
         let stats = wired(sim.shard_stats(), "the builder attached a shard client");
         let sent: Vec<u64> = stats.iter().map(|s| s.sent).collect();
         let done: Vec<u64> = stats.iter().map(|s| s.completed).collect();

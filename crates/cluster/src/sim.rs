@@ -1,11 +1,14 @@
-//! Cluster assembly and simulation driver.
+//! Cluster assembly and simulation driver: the one [`Cluster`] type every
+//! app and shard count runs on, and the single-group KV config.
 
+use crate::app::{App, KvApp};
 use crate::client::{ClientHost, OpRecord, StepRecord};
 use crate::cpu::CostModel;
 use crate::msg::ClusterMsg;
 use crate::server::{CompactionPolicy, ReadCounters, ReadStrategy, ServerHost};
+use crate::sharded::ShardedConfig;
 use dynatune_core::{invariant_violated, TuningConfig, TuningSnapshot};
-use dynatune_kv::{OpMix, RateStep, WorkloadGen};
+use dynatune_kv::{OpMix, RateStep, ShardId, ShardMap, WorkloadGen};
 use dynatune_raft::{
     ConfChange, Membership, NodeId, RaftConfig, RaftEvent, Role, TimerQuantization,
 };
@@ -36,7 +39,7 @@ pub struct WorkloadSpec {
     /// writes still chase the leader.
     pub read_fanout: bool,
     /// Record completed `Get`/`Put` operations for linearizability checks
-    /// (see [`ClusterSim::client_trace`]).
+    /// (see [`Cluster::client_trace`]).
     pub record_trace: bool,
 }
 
@@ -91,6 +94,19 @@ impl WorkloadSpec {
         self.request_timeout = timeout;
         self
     }
+
+    /// The arrival generator this spec describes, drawing from `seed`.
+    pub(crate) fn generator(&self, seed: Rng) -> WorkloadGen {
+        WorkloadGen::new(
+            self.steps.clone(),
+            self.mix,
+            self.key_space,
+            self.zipf_theta,
+            self.value_size,
+            seed,
+            SimTime::ZERO + self.start_offset,
+        )
+    }
 }
 
 /// Full description of one simulated cluster run.
@@ -101,7 +117,7 @@ pub struct ClusterConfig {
     /// Extra outsider servers beyond the genesis voters. Spares share the
     /// fabric from t=0 but belong to no quorum and never campaign; they
     /// join live through replicated configuration changes
-    /// ([`ClusterSim::propose_conf_change`]). The topology must cover
+    /// ([`Cluster::propose_conf_change`]). The topology must cover
     /// `n + spare_servers` hosts.
     pub spare_servers: usize,
     /// Tuning mode + parameters (selects Raft / Raft-Low / Fix-K / Dynatune).
@@ -196,6 +212,42 @@ impl ClusterConfig {
         self.workload = Some(spec);
         self
     }
+
+    /// These knobs over the placement `map` plus `spares` (the shard each
+    /// spare joins), with `workload` as the client workload.
+    pub(crate) fn place<W>(
+        &self,
+        map: ShardMap,
+        spares: Vec<ShardId>,
+        workload: Option<W>,
+    ) -> ShardedConfig<W> {
+        ShardedConfig {
+            map,
+            spares,
+            tuning: self.tuning,
+            topology: self.topology.clone(),
+            congestion: self.congestion,
+            quantization: self.quantization,
+            udp_heartbeats: self.udp_heartbeats,
+            pre_vote: self.pre_vote,
+            check_quorum: self.check_quorum,
+            suppress_heartbeats: self.suppress_heartbeats,
+            consolidated_timer: self.consolidated_timer,
+            cost: self.cost,
+            compaction: self.compaction,
+            read_strategy: self.read_strategy,
+            follower_reads: self.follower_reads,
+            pipeline_window: self.pipeline_window,
+            max_batch_bytes: self.max_batch_bytes,
+            max_batch_delay: self.max_batch_delay,
+            max_entries_per_append: self.max_entries_per_append,
+            cores: self.cores,
+            cpu_window: self.cpu_window,
+            seed: self.seed,
+            workload,
+            client_link: self.client_link,
+        }
+    }
 }
 
 /// A node in the simulated world: server or benchmark client.
@@ -236,104 +288,174 @@ impl Host for ClusterHost {
     }
 }
 
-/// Crash-restart a server host inside a cluster world: buffered traffic
-/// and volatile state are dropped (in that order — the pause buffer must
-/// not replay into the restarted node), the persistent log survives, and
-/// the wake is rescheduled for the fresh election timer. Shared by the
-/// single-group and sharded sims so crash semantics cannot diverge.
-pub(crate) fn crash_server(world: &mut World<ClusterHost>, id: NodeId) {
-    world.clear_pause_buffer(id);
-    let now = world.now();
-    match world.host_mut(id) {
-        ClusterHost::Server(s) => s.crash_restart(now),
-        _ => invariant_violated!(
-            "host {id} is not a server — fault schedules only target server ids"
-        ),
+impl AppHost for ClusterHost {
+    type App = KvApp;
+
+    fn server(&self) -> Option<&ServerHost> {
+        match self {
+            ClusterHost::Server(s) => Some(s),
+            _ => None,
+        }
     }
-    world.reschedule_wake(id);
+
+    fn server_mut(&mut self) -> Option<&mut ServerHost> {
+        match self {
+            ClusterHost::Server(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    fn from_server(server: ServerHost) -> Self {
+        ClusterHost::Server(Box::new(server))
+    }
 }
 
-/// A running simulated cluster.
-pub struct ClusterSim {
-    world: World<ClusterHost>,
-    n_servers: usize,
+/// A world host serving one [`App`]: one of its servers or a client.
+/// [`Cluster`] reaches its servers, and the assembly builds them, through
+/// this.
+pub trait AppHost: Host + Sized {
+    /// The app the servers run.
+    type App: App;
+    /// The server inside, if this host is one.
+    fn server(&self) -> Option<&ServerHost<Self::App>>;
+    /// Mutable server access.
+    fn server_mut(&mut self) -> Option<&mut ServerHost<Self::App>>;
+    /// Wrap a freshly assembled server.
+    fn from_server(server: ServerHost<Self::App>) -> Self;
 }
 
-impl ClusterSim {
+/// A config [`Cluster::new`] can build from. The config type picks the
+/// client: [`ClusterConfig`] attaches a [`ClientHost`], a sharded KV config
+/// a [`ShardClient`](crate::ShardClient) and a
+/// [`BrokerConfig`](crate::BrokerConfig) a
+/// [`BrokerClient`](crate::BrokerClient).
+pub trait ClusterSpec {
+    /// The host type of the world it builds.
+    type Host: AppHost;
     /// Build the cluster.
-    ///
-    /// # Panics
-    /// Panics when the topology size does not match `config.n`.
-    #[must_use]
-    pub fn new(config: &ClusterConfig) -> Self {
-        let n_servers = config.n + config.spare_servers;
-        assert_eq!(
-            config.topology.len(),
-            n_servers,
-            "topology must cover exactly the servers (voters + spares)"
-        );
-        let master = Rng::new(config.seed);
-        let n_total = n_servers + usize::from(config.workload.is_some());
-        // Extend the topology with the client node if needed.
-        let topology = if config.workload.is_some() {
-            config
-                .topology
-                .extend_with(1, LinkSchedule::constant(config.client_link))
-        } else {
-            config.topology.clone()
-        };
-        let net = Network::new(n_total, &master.child(1), config.congestion, |f, t| {
-            topology.schedule(f, t)
-        });
-        let node_seed_root = master.child(2);
-        let mut hosts: Vec<ClusterHost> = (0..n_servers)
-            .map(|id| {
-                // Voters get the genesis membership; ids beyond it build
-                // outsider spares that idle until a conf change admits them.
-                let mut rc = RaftConfig::with_peers(id, (0..config.n).collect(), config.tuning);
-                rc.pre_vote = config.pre_vote;
-                rc.check_quorum = config.check_quorum;
-                rc.quantization = config.quantization;
-                rc.udp_heartbeats = config.udp_heartbeats;
-                rc.suppress_heartbeats_when_replicating = config.suppress_heartbeats;
-                rc.consolidated_heartbeat_timer = config.consolidated_timer;
-                // The lease fast path only when the strategy asks for it;
-                // under ReadIndex every read pays a confirmation round.
-                rc.lease_reads = config.read_strategy == ReadStrategy::Lease;
-                rc.pipeline_window = config.pipeline_window;
-                rc.max_batch_bytes = config.max_batch_bytes;
-                rc.max_batch_delay = config.max_batch_delay;
-                rc.max_entries_per_append = config.max_entries_per_append;
-                let mut stream = node_seed_root.child(id as u64);
-                rc.seed = stream.next_u64();
-                ClusterHost::Server(Box::new(
-                    ServerHost::new(rc, config.cost, config.cores, config.cpu_window)
-                        .with_compaction(config.compaction)
-                        .with_reads(config.read_strategy, config.follower_reads),
-                ))
-            })
-            .collect();
-        if let Some(spec) = &config.workload {
-            let wl = WorkloadGen::new(
-                spec.steps.clone(),
-                spec.mix,
-                spec.key_space,
-                spec.zipf_theta,
-                spec.value_size,
-                master.child(3),
-                SimTime::ZERO + spec.start_offset,
-            );
-            hosts.push(ClusterHost::Client(Box::new(
-                ClientHost::new(wl, n_servers, SimTime::ZERO + spec.start_offset)
+    fn assemble(&self) -> Cluster<Self::Host>;
+}
+
+impl ClusterSpec for ClusterConfig {
+    type Host = ClusterHost;
+
+    fn assemble(&self) -> Cluster<ClusterHost> {
+        let n_servers = self.n + self.spare_servers;
+        let map = ShardMap::new(1, self.n);
+        let grouped = self.place(map, vec![0; self.spare_servers], self.workload.as_ref());
+        grouped.assemble_with(|spec, seed| {
+            let start = SimTime::ZERO + spec.start_offset;
+            ClusterHost::Client(Box::new(
+                ClientHost::new(spec.generator(seed), n_servers, start)
                     .with_request_timeout(spec.request_timeout)
                     .with_read_fanout(spec.read_fanout)
                     .with_trace(spec.record_trace),
-            )));
-        }
-        Self {
-            world: World::new(hosts, net),
+            ))
+        })
+    }
+}
+
+impl<W> ShardedConfig<W> {
+    /// The one assembly routine every cluster goes through. Server hosts
+    /// come first: the mapped replica blocks, then the spares; the client
+    /// built by `client` from the workload and its seed, if any, is last.
+    /// Seeds: the net draws from `child(1)` of the master seed, server
+    /// `id` from `child(2).child(id)` and the workload from `child(3)`.
+    ///
+    /// # Panics
+    /// Panics when the topology does not cover exactly the servers.
+    pub(crate) fn assemble_with<H: AppHost>(
+        &self,
+        client: impl FnOnce(&W, Rng) -> H,
+    ) -> Cluster<H> {
+        let map = self.map;
+        let n_servers = map.n_servers() + self.spares.len();
+        assert_eq!(
+            self.topology.len(),
             n_servers,
+            "topology must cover exactly the servers (mapped replicas + spares)"
+        );
+        let master = Rng::new(self.seed);
+        let n_total = n_servers + usize::from(self.workload.is_some());
+        let topology = if self.workload.is_some() {
+            self.topology
+                .extend_with(1, LinkSchedule::constant(self.client_link))
+        } else {
+            self.topology.clone()
+        };
+        let net = Network::new(n_total, &master.child(1), self.congestion, |f, t| {
+            topology.schedule(f, t)
+        });
+        let seed_root = master.child(2);
+        let mut hosts: Vec<H> = (0..n_servers)
+            .map(|id| {
+                // A spare speaks its shard's group-local protocol but is not
+                // a genesis voter: it idles until a conf change admits it.
+                let shard = map
+                    .shard_of_server(id)
+                    .unwrap_or_else(|| self.spares[id - map.n_servers()]);
+                let base = map.group_base(shard);
+                let voters = (0..map.replicas()).collect();
+                let mut rc = RaftConfig::with_peers(id - base, voters, self.tuning);
+                rc.pre_vote = self.pre_vote;
+                rc.check_quorum = self.check_quorum;
+                rc.quantization = self.quantization;
+                rc.udp_heartbeats = self.udp_heartbeats;
+                rc.suppress_heartbeats_when_replicating = self.suppress_heartbeats;
+                rc.consolidated_heartbeat_timer = self.consolidated_timer;
+                // The lease fast path only when the strategy asks for it;
+                // under ReadIndex every read pays a confirmation round.
+                rc.lease_reads = self.read_strategy == ReadStrategy::Lease;
+                rc.pipeline_window = self.pipeline_window;
+                rc.max_batch_bytes = self.max_batch_bytes;
+                rc.max_batch_delay = self.max_batch_delay;
+                rc.max_entries_per_append = self.max_entries_per_append;
+                rc.seed = seed_root.child(id as u64).next_u64();
+                H::from_server(
+                    ServerHost::new(rc, self.cost, self.cores, self.cpu_window)
+                        .with_peer_base(base)
+                        .with_compaction(self.compaction)
+                        .with_reads(self.read_strategy, self.follower_reads),
+                )
+            })
+            .collect();
+        if let Some(workload) = &self.workload {
+            hosts.push(client(workload, master.child(3)));
         }
+        Cluster {
+            world: World::new(hosts, net),
+            map,
+            spares: self.spares.clone(),
+        }
+    }
+}
+
+/// A running simulated cluster: one or more Raft groups (shards) of one
+/// app's servers, plus an optional client, in one simulated [`World`].
+///
+/// Host layout (world ids): replicas of shard `g` occupy the contiguous
+/// block `[g·R, (g+1)·R)` per the [`ShardMap`], spare servers follow in
+/// order, and the client is the last host. Raft node ids stay group-local
+/// (`0..R`); [`ServerHost`] translates via its peer base. A single-group
+/// cluster is shard 0 with host ids and node ids equal.
+pub struct Cluster<H: AppHost> {
+    world: World<H>,
+    map: ShardMap,
+    /// Shard each spare host (world id `map.n_servers() + k`) belongs to.
+    spares: Vec<ShardId>,
+}
+
+/// The KV cluster: single-group or sharded.
+pub type ClusterSim = Cluster<ClusterHost>;
+
+impl<H: AppHost> Cluster<H> {
+    /// Build the cluster a config describes.
+    ///
+    /// # Panics
+    /// Panics when the topology does not cover exactly the servers.
+    #[must_use]
+    pub fn new(config: &impl ClusterSpec<Host = H>) -> Self {
+        config.assemble()
     }
 
     /// Current simulated time.
@@ -342,10 +464,25 @@ impl ClusterSim {
         self.world.now()
     }
 
-    /// Number of servers (clients excluded).
+    /// The replica placement.
+    #[must_use]
+    pub fn map(&self) -> ShardMap {
+        self.map
+    }
+
+    /// Number of server hosts, spares included (clients excluded).
     #[must_use]
     pub fn n_servers(&self) -> usize {
-        self.n_servers
+        self.map.n_servers() + self.spares.len()
+    }
+
+    /// World ids of every server belonging to `shard`: the mapped replica
+    /// block plus any spares attached to the shard.
+    #[must_use]
+    pub fn members_of(&self, shard: ShardId) -> Vec<NodeId> {
+        let spares = (self.map.n_servers()..).zip(&self.spares);
+        let spares = spares.filter(|&(_, &s)| s == shard).map(|(id, _)| id);
+        self.map.servers_of(shard).chain(spares).collect()
     }
 
     /// Advance the simulation to `deadline`.
@@ -359,35 +496,43 @@ impl ClusterSim {
         self.world.run_until(target);
     }
 
-    fn server(&self, id: NodeId) -> &ServerHost {
-        match self.world.host(id) {
-            ClusterHost::Server(s) => s,
-            _ => invariant_violated!(
-                "node {id} is a client — server ids are the first n_servers slots"
+    fn server(&self, id: NodeId) -> &ServerHost<H::App> {
+        match self.world.host(id).server() {
+            Some(s) => s,
+            None => invariant_violated!(
+                "host {id} is a client — server ids are the first n_servers slots"
             ),
         }
     }
 
-    /// Run a closure against a server (observers).
-    pub fn with_server<T>(&self, id: NodeId, f: impl FnOnce(&ServerHost) -> T) -> T {
+    /// Every server, in world-id order.
+    fn servers(&self) -> impl Iterator<Item = &ServerHost<H::App>> {
+        (0..self.n_servers()).map(|id| self.server(id))
+    }
+
+    /// The client host, if the world has one.
+    pub(crate) fn client(&self) -> Option<&H> {
+        (self.world.len() > self.n_servers()).then(|| self.world.host(self.world.len() - 1))
+    }
+
+    /// Mutable access to the client host, if the world has one.
+    pub(crate) fn client_mut(&mut self) -> Option<&mut H> {
+        let last = self.world.len() - 1;
+        (last >= self.n_servers()).then(|| self.world.host_mut(last))
+    }
+
+    /// Run a closure against a server (by world id).
+    pub fn with_server<T>(&self, id: NodeId, f: impl FnOnce(&ServerHost<H::App>) -> T) -> T {
         f(self.server(id))
     }
 
-    /// Run a closure against the client host, if one exists.
+    /// The live leader of one shard's group (world id), if exactly one
+    /// exists at the group's highest leading term; paused servers are
+    /// skipped.
     #[must_use]
-    pub fn client_steps(&self) -> Option<Vec<StepRecord>> {
-        match self.world.host(self.world.len() - 1) {
-            ClusterHost::Client(c) => Some(c.steps().to_vec()),
-            _ => None,
-        }
-    }
-
-    /// The live leader (not paused), if exactly one exists at the highest
-    /// leading term.
-    #[must_use]
-    pub fn leader(&self) -> Option<NodeId> {
+    pub fn leader_of(&self, shard: ShardId) -> Option<NodeId> {
         let mut best: Option<(u64, NodeId)> = None;
-        for id in 0..self.n_servers {
+        for id in self.members_of(shard) {
             if self.world.is_paused(id) {
                 continue;
             }
@@ -400,6 +545,18 @@ impl ClusterSim {
             }
         }
         best.map(|(_, id)| id)
+    }
+
+    /// Shard 0's live leader — the leader of a single-group cluster.
+    #[must_use]
+    pub fn leader(&self) -> Option<NodeId> {
+        self.leader_of(0)
+    }
+
+    /// Leaders of all shards, indexed by shard id.
+    #[must_use]
+    pub fn leaders(&self) -> Vec<Option<NodeId>> {
+        (0..self.map.shards()).map(|s| self.leader_of(s)).collect()
     }
 
     /// Pause a server (the paper's container-sleep failure).
@@ -418,24 +575,58 @@ impl ClusterSim {
         self.world.is_paused(id)
     }
 
-    /// Crash a server: drops buffered traffic and volatile state; the node
-    /// rejoins as follower with its persistent log.
+    /// Crash-restart a server: buffered traffic and volatile state are
+    /// dropped (in that order — the pause buffer must not replay into the
+    /// restarted node), the persistent log survives, and the wake is
+    /// rescheduled for the fresh election timer.
     pub fn crash(&mut self, id: NodeId) {
-        crash_server(&mut self.world, id);
+        self.world.clear_pause_buffer(id);
+        let now = self.world.now();
+        match self.world.host_mut(id).server_mut() {
+            Some(s) => s.crash_restart(now),
+            None => invariant_violated!(
+                "host {id} is not a server — fault schedules only target server ids"
+            ),
+        }
+        self.world.reschedule_wake(id);
     }
 
-    /// Queue a configuration change on the current leader. Returns `false`
-    /// when no live leader exists (retry after the next election) — the
-    /// queued change may still be dropped if leadership moves before the
-    /// leader's next wake, so orchestrators re-submit until the membership
-    /// they observe reflects the change.
-    pub fn propose_conf_change(&mut self, change: ConfChange) -> bool {
-        let Some(leader) = self.leader() else {
+    /// Recorded events of one shard's group, merged and sorted by time,
+    /// with *group-local* node ids — the shape
+    /// [`extract_failover`](crate::observers::extract_failover) and the
+    /// safety checks expect.
+    #[must_use]
+    pub fn shard_events(&self, shard: ShardId) -> Vec<(SimTime, NodeId, RaftEvent)> {
+        let base = self.map.group_base(shard);
+        let mut out = Vec::new();
+        for id in self.members_of(shard) {
+            for &(t, e) in self.server(id).events() {
+                out.push((t, id - base, e));
+            }
+        }
+        out.sort_by_key(|&(t, id, _)| (t, id));
+        out
+    }
+
+    /// Shard 0's events — every event of a single-group cluster.
+    #[must_use]
+    pub fn events(&self) -> Vec<(SimTime, NodeId, RaftEvent)> {
+        self.shard_events(0)
+    }
+
+    /// Queue a configuration change on `shard`'s current leader (node ids
+    /// inside the change are group-local). Returns `false` when the shard
+    /// has no live leader (retry after the next election) — the queued
+    /// change may still be dropped if leadership moves before the leader's
+    /// next wake, so orchestrators re-submit until the membership they
+    /// observe reflects the change.
+    pub fn propose_conf_change(&mut self, shard: ShardId, change: ConfChange) -> bool {
+        let Some(leader) = self.leader_of(shard) else {
             return false;
         };
-        match self.world.host_mut(leader) {
-            ClusterHost::Server(s) => s.enqueue_conf_change(change),
-            _ => invariant_violated!("leader {leader} is not a server host"),
+        match self.world.host_mut(leader).server_mut() {
+            Some(s) => s.enqueue_conf_change(change),
+            None => invariant_violated!("leader {leader} is not a server host"),
         }
         self.world.reschedule_wake(leader);
         true
@@ -452,32 +643,16 @@ impl ClusterSim {
     /// submissions the orchestrator had to re-issue).
     #[must_use]
     pub fn conf_rejections(&self) -> u64 {
-        (0..self.n_servers)
-            .map(|id| self.server(id).conf_rejections())
-            .sum()
-    }
-
-    /// All recorded events, merged and sorted by time.
-    #[must_use]
-    pub fn events(&self) -> Vec<(SimTime, NodeId, RaftEvent)> {
-        let mut out = Vec::new();
-        for id in 0..self.n_servers {
-            for &(t, e) in self.server(id).events() {
-                out.push((t, id, e));
-            }
-        }
-        out.sort_by_key(|&(t, id, _)| (t, id));
-        out
+        self.servers().map(ServerHost::conf_rejections).sum()
     }
 
     /// Randomized timeout of each live server (paused servers excluded →
     /// `None`), for the paper's Fig. 6 third-smallest metric.
     #[must_use]
     pub fn randomized_timeouts(&self) -> Vec<Option<Duration>> {
-        (0..self.n_servers)
-            .map(|id| {
-                (!self.world.is_paused(id)).then(|| self.server(id).node().randomized_timeout())
-            })
+        self.servers()
+            .enumerate()
+            .map(|(id, s)| (!self.world.is_paused(id)).then(|| s.node().randomized_timeout()))
             .collect()
     }
 
@@ -487,23 +662,17 @@ impl ClusterSim {
         self.server(id).node().tuning_snapshot()
     }
 
-    /// Mean heartbeat interval the leader currently applies across its
-    /// followers (Fig. 7a metric). `None` when there is no leader.
+    /// Mean heartbeat interval shard 0's leader currently applies across
+    /// its followers (Fig. 7a metric). `None` when there is no leader.
     #[must_use]
     pub fn leader_mean_heartbeat_interval(&self) -> Option<Duration> {
         let leader = self.leader()?;
         let node = self.server(leader).node();
-        let mut total = Duration::ZERO;
-        let mut count = 0u32;
-        for id in 0..self.n_servers {
-            if id != leader {
-                if let Some(h) = node.pacer_interval(id) {
-                    total += h;
-                    count += 1;
-                }
-            }
-        }
-        (count > 0).then(|| total / count)
+        // Shard 0's group base is 0, so its world ids are its node ids.
+        let followers = self.members_of(0).into_iter().filter(|&id| id != leader);
+        let intervals: Vec<Duration> = followers.filter_map(|id| node.pacer_interval(id)).collect();
+        let count = u32::try_from(intervals.len()).ok()?;
+        (count > 0).then(|| intervals.iter().sum::<Duration>() / count)
     }
 
     /// Current scheduled RTT of the 0→1 link (the uniform-topology probe
@@ -529,36 +698,20 @@ impl ClusterSim {
     /// observable the compaction scenarios assert on.
     #[must_use]
     pub fn max_log_len(&self) -> usize {
-        (0..self.n_servers)
-            .map(|id| self.server(id).log_len())
-            .max()
-            .unwrap_or(0)
+        self.servers().map(ServerHost::log_len).max().unwrap_or(0)
     }
 
     /// Total `InstallSnapshot` transfers started across servers.
     #[must_use]
     pub fn total_snapshots_sent(&self) -> u64 {
-        (0..self.n_servers)
-            .map(|id| self.server(id).snapshots_sent())
-            .sum()
+        self.servers().map(ServerHost::snapshots_sent).sum()
     }
 
     /// Served-read counters aggregated over all servers (by path).
     #[must_use]
     pub fn read_counters(&self) -> ReadCounters {
-        (0..self.n_servers)
-            .map(|id| self.server(id).reads_served())
-            .fold(ReadCounters::default(), ReadCounters::merged)
-    }
-
-    /// The client's recorded operation trace (`None` without a client;
-    /// empty unless the workload set `record_trace`).
-    #[must_use]
-    pub fn client_trace(&self) -> Option<Vec<OpRecord>> {
-        match self.world.host(self.world.len() - 1) {
-            ClusterHost::Client(c) => Some(c.trace().to_vec()),
-            _ => None,
-        }
+        let reads = self.servers().map(ServerHost::reads_served);
+        reads.fold(ReadCounters::default(), ReadCounters::merged)
     }
 
     /// Partition the network: `group` forms one side, the rest the other.
@@ -573,7 +726,7 @@ impl ClusterSim {
     /// clients while a new leader is elected behind its back).
     pub fn partition_servers(&mut self, group: &[NodeId]) {
         self.world.partition(group);
-        for id in self.n_servers..self.world.len() {
+        for id in self.n_servers()..self.world.len() {
             self.world.exempt_from_partition(id);
         }
     }
@@ -584,10 +737,32 @@ impl ClusterSim {
     }
 }
 
+impl Cluster<ClusterHost> {
+    /// The single-group client's per-step records (`None` without one).
+    #[must_use]
+    pub fn client_steps(&self) -> Option<Vec<StepRecord>> {
+        match self.client()? {
+            ClusterHost::Client(c) => Some(c.steps().to_vec()),
+            _ => None,
+        }
+    }
+
+    /// The single-group client's recorded operation trace (`None` without
+    /// one; empty unless the workload set `record_trace`).
+    #[must_use]
+    pub fn client_trace(&self) -> Option<Vec<OpRecord>> {
+        match self.client()? {
+            ClusterHost::Client(c) => Some(c.trace().to_vec()),
+            _ => None,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::observers::election_safety_violations;
+    use crate::scenario::{NetPlan, ScenarioBuilder};
 
     fn stable_cluster(tuning: TuningConfig, seed: u64) -> ClusterSim {
         let cfg = ClusterConfig::stable(5, tuning, Duration::from_millis(100), seed);
@@ -669,16 +844,11 @@ mod tests {
     #[test]
     fn spares_join_live_via_joint_consensus() {
         // 3 genesis voters + 2 spare outsiders; grow to 5 voters online.
-        let params = NetParams::clean(Duration::from_millis(50)).with_jitter(0.02);
-        let mut cfg = ClusterConfig::stable(
-            3,
-            TuningConfig::raft_default(),
-            Duration::from_millis(50),
-            9,
-        );
-        cfg.spare_servers = 2;
-        cfg.topology = Topology::uniform_constant(5, params);
-        let mut sim = ClusterSim::new(&cfg);
+        let mut sim = ScenarioBuilder::cluster(3)
+            .spares(2)
+            .net(NetPlan::stable(Duration::from_millis(50)))
+            .seed(9)
+            .build_sim();
         sim.run_until(SimTime::from_secs(10));
         let leader = sim.leader().expect("genesis voters elect");
         assert!(leader < 3, "spares cannot lead before joining");
@@ -687,9 +857,9 @@ mod tests {
             assert!(!sim.membership(leader).contains(id));
         }
         // Learners first (one conf change may be uncommitted at a time)...
-        assert!(sim.propose_conf_change(ConfChange::AddLearner(3)));
+        assert!(sim.propose_conf_change(0, ConfChange::AddLearner(3)));
         sim.run_for(Duration::from_secs(3));
-        assert!(sim.propose_conf_change(ConfChange::AddLearner(4)));
+        assert!(sim.propose_conf_change(0, ConfChange::AddLearner(4)));
         sim.run_for(Duration::from_secs(3));
         let leader = sim.leader().expect("leader");
         let m = sim.membership(leader);
@@ -698,12 +868,15 @@ mod tests {
             "learners admitted: {m:?}"
         );
         // ...then promote both through one joint change.
-        assert!(sim.propose_conf_change(ConfChange::Begin {
-            add: vec![3, 4],
-            remove: vec![],
-        }));
+        assert!(sim.propose_conf_change(
+            0,
+            ConfChange::Begin {
+                add: vec![3, 4],
+                remove: vec![],
+            }
+        ));
         sim.run_for(Duration::from_secs(3));
-        assert!(sim.propose_conf_change(ConfChange::Finalize));
+        assert!(sim.propose_conf_change(0, ConfChange::Finalize));
         sim.run_for(Duration::from_secs(5));
         for id in 0..5 {
             let m = sim.membership(id);

@@ -1,6 +1,10 @@
 //! Parallel trial fan-out must be bit-identical to serial execution: the
 //! same `Report` for `--jobs 1` and `--jobs N`, because per-trial seeds
 //! derive from trial indices alone and results merge in input order.
+//!
+//! Each serial report is also pinned to a golden digest, so a refactor of
+//! the cluster layer that changes any simulated outcome fails here even
+//! when it changes serial and parallel runs alike.
 
 use dynatune_repro::cluster::experiments::failover::{run_trials, FailoverConfig};
 use dynatune_repro::cluster::scenario::{catalog, Experiment, Report, RunCtx};
@@ -10,6 +14,25 @@ use std::time::Duration;
 
 fn report_with_jobs(experiment: &dyn Experiment, jobs: usize) -> Report {
     RunCtx::new(1234).quick(true).jobs(jobs).run(experiment)
+}
+
+/// FNV-1a (64-bit) of the report's `Debug` rendering.
+fn digest(report: &Report) -> u64 {
+    format!("{report:?}")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+/// Assert a serial report still matches its recorded digest.
+fn assert_golden(report: &Report, golden: u64) {
+    assert_eq!(
+        digest(report),
+        golden,
+        "{}: report differs from its golden digest",
+        report.name
+    );
 }
 
 #[test]
@@ -22,6 +45,7 @@ fn fig4_report_identical_serial_vs_parallel() {
     // Equality must be meaningful: the report carries real content.
     assert!(!serial.tables.is_empty() && !serial.artifacts.is_empty());
     assert_eq!(serial.name, "fig4");
+    assert_golden(&serial, 0x77e6_50dc_acc6_8b1d);
 }
 
 #[test]
@@ -29,16 +53,20 @@ fn churn_report_identical_serial_vs_parallel() {
     let serial = report_with_jobs(&catalog::PartitionChurn, 1);
     let parallel = report_with_jobs(&catalog::PartitionChurn, 3);
     assert_eq!(serial, parallel);
+    assert_golden(&serial, 0x904c_7442_e77e_6f8f);
 }
 
 #[test]
 fn sharded_reports_identical_serial_vs_parallel() {
     // The shard-count sweep and the two-system comparison both fan out;
     // merging in input order must make any pool width bit-identical.
-    for experiment in [
-        &catalog::ShardedThroughput as &dyn Experiment,
-        &catalog::ShardLeaderFailover,
-        &catalog::HotShard,
+    for (experiment, golden) in [
+        (
+            &catalog::ShardedThroughput as &dyn Experiment,
+            0x8937_8b85_5889_e791,
+        ),
+        (&catalog::ShardLeaderFailover, 0x75eb_ae20_e42a_98c1),
+        (&catalog::HotShard, 0x5c75_5c09_9a77_4f9a),
     ] {
         let serial = report_with_jobs(experiment, 1);
         let parallel = report_with_jobs(experiment, 4);
@@ -48,6 +76,7 @@ fn sharded_reports_identical_serial_vs_parallel() {
             serial.name
         );
         assert!(!serial.tables.is_empty());
+        assert_golden(&serial, golden);
     }
 }
 
@@ -56,9 +85,12 @@ fn compaction_reports_identical_serial_vs_parallel() {
     // The snapshot-transfer path adds its own timing (send, install,
     // resend pacing); the report — log bounds, snapshots_sent, convergence
     // digests — must still be bit-identical at any pool width.
-    for experiment in [
-        &catalog::LaggingFollowerCatchup as &dyn Experiment,
-        &catalog::CompactionChurn,
+    for (experiment, golden) in [
+        (
+            &catalog::LaggingFollowerCatchup as &dyn Experiment,
+            0x99b5_9fe3_de0a_e6b6,
+        ),
+        (&catalog::CompactionChurn, 0x31c4_2f1e_567c_164a),
     ] {
         let serial = report_with_jobs(experiment, 1);
         let parallel = report_with_jobs(experiment, 4);
@@ -68,6 +100,7 @@ fn compaction_reports_identical_serial_vs_parallel() {
             serial.name
         );
         assert!(!serial.tables.is_empty() && !serial.headlines.is_empty());
+        assert_golden(&serial, golden);
     }
 }
 
@@ -77,10 +110,13 @@ fn read_path_reports_identical_serial_vs_parallel() {
     // (lease bookkeeping, confirmation echoes, forwarded waves, client
     // traces); the reports — throughput ratios, CPU percentages,
     // violation counts — must still be bit-identical at any pool width.
-    for experiment in [
-        &catalog::ReadHeavyThroughput as &dyn Experiment,
-        &catalog::FollowerReadOffload,
-        &catalog::LeaseSafetyPartition,
+    for (experiment, golden) in [
+        (
+            &catalog::ReadHeavyThroughput as &dyn Experiment,
+            0xc724_7790_d997_92a8,
+        ),
+        (&catalog::FollowerReadOffload, 0x0183_cf02_816c_d294),
+        (&catalog::LeaseSafetyPartition, 0x6f07_c234_7574_0422),
     ] {
         let serial = report_with_jobs(experiment, 1);
         let parallel = report_with_jobs(experiment, 4);
@@ -90,6 +126,7 @@ fn read_path_reports_identical_serial_vs_parallel() {
             serial.name
         );
         assert!(!serial.tables.is_empty() && !serial.headlines.is_empty());
+        assert_golden(&serial, golden);
     }
 }
 
@@ -105,6 +142,7 @@ fn pipeline_depth_report_identical_serial_vs_parallel() {
         "pipeline_depth: --jobs must not change the report"
     );
     assert!(!serial.tables.is_empty() && !serial.headlines.is_empty());
+    assert_golden(&serial, 0xa21c_c1e1_9427_662e);
 }
 
 #[test]
@@ -113,10 +151,13 @@ fn broker_reports_identical_serial_vs_parallel() {
     // per group count, and sample a failover timeline; throughput tables,
     // CPU ratios and the exactly-once checker counts must be bit-identical
     // at any pool width.
-    for experiment in [
-        &catalog::BrokerProduceThroughput as &dyn Experiment,
-        &catalog::ConsumerLagFailover,
-        &catalog::ConsumerFanout,
+    for (experiment, golden) in [
+        (
+            &catalog::BrokerProduceThroughput as &dyn Experiment,
+            0x1175_110e_6b9f_9530,
+        ),
+        (&catalog::ConsumerLagFailover, 0xe526_d0a4_730b_a870),
+        (&catalog::ConsumerFanout, 0xbd91_5a73_4263_b05e),
     ] {
         let serial = report_with_jobs(experiment, 1);
         let parallel = report_with_jobs(experiment, 4);
@@ -126,6 +167,7 @@ fn broker_reports_identical_serial_vs_parallel() {
             serial.name
         );
         assert!(!serial.tables.is_empty() && !serial.headlines.is_empty());
+        assert_golden(&serial, golden);
     }
 }
 
@@ -139,10 +181,13 @@ fn membership_reports_identical_serial_vs_parallel() {
     // p99 improvement from the replica move, and — via the recorded
     // client traces — zero stale reads, i.e. no lease hole anywhere in
     // the dual-quorum (joint-consensus) window.
-    for experiment in [
-        &catalog::ElasticScaleout as &dyn Experiment,
-        &catalog::ShardRebalance,
-        &catalog::MembershipChurn,
+    for (experiment, golden) in [
+        (
+            &catalog::ElasticScaleout as &dyn Experiment,
+            0xe597_98f9_1441_76af,
+        ),
+        (&catalog::ShardRebalance, 0xf220_d09e_b5e1_5024),
+        (&catalog::MembershipChurn, 0xf986_d159_db38_531d),
     ] {
         let serial = report_with_jobs(experiment, 1);
         let parallel = report_with_jobs(experiment, 4);
@@ -152,6 +197,7 @@ fn membership_reports_identical_serial_vs_parallel() {
             serial.name
         );
         assert!(!serial.tables.is_empty() && !serial.headlines.is_empty());
+        assert_golden(&serial, golden);
     }
 }
 
