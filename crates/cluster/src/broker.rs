@@ -1,8 +1,8 @@
 //! Broker cluster assembly: the replicated topic/partition broker served
 //! by the generic cluster layer.
 //!
-//! The sharded KV cluster pairs its servers with a
-//! [`ShardClient`](crate::shard_client::ShardClient); this module is the
+//! The sharded KV cluster pairs its servers with a batching
+//! [`ClientHost`](crate::client::ClientHost); this module is the
 //! broker analogue, on the same [`Cluster`] type. Topics are split into
 //! partitions, every partition is routed to one Raft group by
 //! [`shard_of_partition`] (the broker's `ShardRouter`), and one
@@ -343,7 +343,7 @@ impl BrokerClient {
             produce_until: workload.produce_for.map(|d| start + d),
             record_bytes: workload.record_bytes.max(8),
             batch_max: workload.batch_max,
-            batch_window: crate::shard_client::DEFAULT_BATCH_WINDOW,
+            batch_window: crate::client::DEFAULT_BATCH_WINDOW,
             fetch_max: workload.fetch_max,
             commit_every: workload.commit_every,
             fanout_fetch: workload.fanout_fetch,

@@ -25,7 +25,6 @@ pub mod observers;
 pub mod rebalance;
 pub mod scenario;
 pub mod server;
-pub mod shard_client;
 pub mod sharded;
 pub mod sim;
 
@@ -34,7 +33,7 @@ pub use broker::{
     BrokerClient, BrokerClusterSim, BrokerConfig, BrokerHost, BrokerStats, BrokerWorkload,
     ConsumerStats,
 };
-pub use client::{ClientHost, OpRecord, StepRecord};
+pub use client::{ClientHost, OpRecord, ShardStats, StepRecord};
 pub use cpu::{CostModel, CpuMeter};
 pub use msg::ClusterMsg;
 pub use observers::{
@@ -47,7 +46,6 @@ pub use scenario::{
     RunCtx, ScenarioBuilder, ScenarioDriver, Target,
 };
 pub use server::{CompactionPolicy, ReadCounters, ReadStrategy, ServerHost};
-pub use shard_client::{ShardClient, ShardStats};
 pub use sharded::ShardedConfig;
 pub use sim::{
     AppHost, Cluster, ClusterConfig, ClusterHost, ClusterSim, ClusterSpec, WorkloadSpec,

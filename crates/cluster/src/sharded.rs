@@ -6,23 +6,24 @@
 //! fabric models. A [`ShardedConfig`] lifts that cap: the keyspace is
 //! hash-partitioned by a [`ShardRouter`](dynatune_kv::ShardRouter), each
 //! partition is replicated by its own Raft group (own leader, own tuner
-//! state, own election timers), and a [`ShardClient`] routes and batches
-//! requests per shard. Groups share nothing but the network fabric — a
-//! fault in one group's leader leaves the other groups' commit pipelines
-//! untouched, which the `shard_leader_failover` scenario measures.
+//! state, own election timers), and a [`ClientHost::sharded`] client
+//! routes and batches requests per shard. Groups share nothing but the
+//! network fabric — a fault in one group's leader leaves the other groups'
+//! commit pipelines untouched, which the `shard_leader_failover` scenario
+//! measures.
 //!
 //! The same config, instantiated with the broker workload, is
 //! [`BrokerConfig`](crate::BrokerConfig); both build a
 //! [`Cluster`] through the one assembly routine.
 
+use crate::client::ClientHost;
 use crate::cpu::CostModel;
 use crate::server::{CompactionPolicy, ReadStrategy};
-use crate::shard_client::{ShardClient, ShardStats};
 use crate::sim::{Cluster, ClusterHost, ClusterSpec, WorkloadSpec};
 use dynatune_core::TuningConfig;
 use dynatune_kv::{ShardId, ShardMap};
-use dynatune_raft::{NodeId, TimerQuantization};
-use dynatune_simnet::{CongestionConfig, NetParams, Topology};
+use dynatune_raft::TimerQuantization;
+use dynatune_simnet::{CongestionConfig, NetParams, SimTime, Topology};
 use std::time::Duration;
 
 /// Full description of one multi-group cluster run, generic over the
@@ -89,59 +90,14 @@ impl ClusterSpec for ShardedConfig {
 
     fn assemble(&self) -> Cluster<ClusterHost> {
         self.assemble_with(|spec, seed| {
-            ClusterHost::ShardClient(Box::new(
-                ShardClient::new(spec.generator(seed), self.map)
+            let start = SimTime::ZERO + spec.start_offset;
+            ClusterHost::Client(Box::new(
+                ClientHost::sharded(spec.generator(seed), self.map, start)
                     .with_request_timeout(spec.request_timeout)
-                    .with_read_fanout(spec.read_fanout),
+                    .with_read_fanout(spec.read_fanout)
+                    .with_trace(spec.record_trace),
             ))
         })
-    }
-}
-
-impl Cluster<ClusterHost> {
-    fn shard_client(&self) -> Option<&ShardClient> {
-        match self.client()? {
-            ClusterHost::ShardClient(c) => Some(c),
-            _ => None,
-        }
-    }
-
-    /// Repoint the shard client's placement row for `shard`: replica `from`
-    /// (world id) is replaced by `to`. Called by the rebalancer after the
-    /// final configuration commits, so client traffic follows the data.
-    /// No-op without a shard client.
-    pub fn repoint_shard(&mut self, shard: ShardId, from: NodeId, to: NodeId) {
-        if let Some(ClusterHost::ShardClient(c)) = self.client_mut() {
-            c.repoint(shard, from, to);
-        }
-    }
-
-    /// Take (and reset) one shard's windowed latency histogram (µs) from
-    /// the shard client (`None` without one). Take once to discard
-    /// warm-up, again after the window of interest.
-    pub fn take_latency_window(&mut self, shard: ShardId) -> Option<dynatune_stats::Histogram> {
-        match self.client_mut()? {
-            ClusterHost::ShardClient(c) => Some(c.take_latency_window(shard)),
-            _ => None,
-        }
-    }
-
-    /// Per-shard client counters (`None` without a shard client).
-    #[must_use]
-    pub fn shard_stats(&self) -> Option<Vec<ShardStats>> {
-        self.shard_client().map(|c| c.shard_stats().to_vec())
-    }
-
-    /// Completed requests per shard (`None` without a shard client).
-    #[must_use]
-    pub fn completed_per_shard(&self) -> Option<Vec<u64>> {
-        self.shard_client().map(ShardClient::completed_per_shard)
-    }
-
-    /// Total completed requests across shards (0 without a shard client).
-    #[must_use]
-    pub fn total_completed(&self) -> u64 {
-        self.shard_client().map_or(0, ShardClient::total_completed)
     }
 }
 

@@ -2,7 +2,7 @@
 //! app and shard count runs on, and the single-group KV config.
 
 use crate::app::{App, KvApp};
-use crate::client::{ClientHost, OpRecord, StepRecord};
+use crate::client::{ClientHost, OpRecord, ShardStats, StepRecord};
 use crate::cpu::CostModel;
 use crate::msg::ClusterMsg;
 use crate::server::{CompactionPolicy, ReadCounters, ReadStrategy, ServerHost};
@@ -16,6 +16,7 @@ use dynatune_simnet::{
     CongestionConfig, Host, HostCtx, LinkSchedule, NetParams, Network, Rng, SimTime, Topology,
     World,
 };
+use dynatune_stats::Histogram;
 use std::time::Duration;
 
 /// Client workload specification.
@@ -254,10 +255,8 @@ impl ClusterConfig {
 pub enum ClusterHost {
     /// A Raft/KV server.
     Server(Box<ServerHost>),
-    /// An open-loop client.
+    /// An open-loop client (one group or many).
     Client(Box<ClientHost>),
-    /// A shard-aware open-loop client (multi-group worlds).
-    ShardClient(Box<crate::shard_client::ShardClient>),
 }
 
 impl Host for ClusterHost {
@@ -267,7 +266,6 @@ impl Host for ClusterHost {
         match self {
             ClusterHost::Server(s) => s.handle_message(ctx, from, msg),
             ClusterHost::Client(c) => c.handle_message(ctx, from, msg),
-            ClusterHost::ShardClient(c) => c.handle_message(ctx, from, msg),
         }
     }
 
@@ -275,7 +273,6 @@ impl Host for ClusterHost {
         match self {
             ClusterHost::Server(s) => s.handle_wake(ctx),
             ClusterHost::Client(c) => c.handle_wake(ctx),
-            ClusterHost::ShardClient(c) => c.handle_wake(ctx),
         }
     }
 
@@ -283,7 +280,6 @@ impl Host for ClusterHost {
         match self {
             ClusterHost::Server(s) => s.wake_deadline(),
             ClusterHost::Client(c) => c.wake_deadline(),
-            ClusterHost::ShardClient(c) => c.wake_deadline(),
         }
     }
 }
@@ -325,8 +321,8 @@ pub trait AppHost: Host + Sized {
 }
 
 /// A config [`Cluster::new`] can build from. The config type picks the
-/// client: [`ClusterConfig`] attaches a [`ClientHost`], a sharded KV config
-/// a [`ShardClient`](crate::ShardClient) and a
+/// client: [`ClusterConfig`] attaches a one-row [`ClientHost`], a sharded
+/// KV config a batching [`ClientHost::sharded`] and a
 /// [`BrokerConfig`](crate::BrokerConfig) a
 /// [`BrokerClient`](crate::BrokerClient).
 pub trait ClusterSpec {
@@ -738,22 +734,67 @@ impl<H: AppHost> Cluster<H> {
 }
 
 impl Cluster<ClusterHost> {
-    /// The single-group client's per-step records (`None` without one).
-    #[must_use]
-    pub fn client_steps(&self) -> Option<Vec<StepRecord>> {
+    fn kv_client(&self) -> Option<&ClientHost> {
         match self.client()? {
-            ClusterHost::Client(c) => Some(c.steps().to_vec()),
-            _ => None,
+            ClusterHost::Client(c) => Some(c),
+            ClusterHost::Server(_) => None,
         }
     }
 
-    /// The single-group client's recorded operation trace (`None` without
-    /// one; empty unless the workload set `record_trace`).
+    fn kv_client_mut(&mut self) -> Option<&mut ClientHost> {
+        match self.client_mut()? {
+            ClusterHost::Client(c) => Some(c),
+            ClusterHost::Server(_) => None,
+        }
+    }
+
+    /// The client's per-step records (`None` without a client).
+    #[must_use]
+    pub fn client_steps(&self) -> Option<Vec<StepRecord>> {
+        self.kv_client().map(|c| c.steps().to_vec())
+    }
+
+    /// The client's recorded operation trace (`None` without a client;
+    /// empty unless the workload set `record_trace`).
     #[must_use]
     pub fn client_trace(&self) -> Option<Vec<OpRecord>> {
-        match self.client()? {
-            ClusterHost::Client(c) => Some(c.trace().to_vec()),
-            _ => None,
+        self.kv_client().map(|c| c.trace().to_vec())
+    }
+
+    /// Per-shard client counters (`None` without a client).
+    #[must_use]
+    pub fn shard_stats(&self) -> Option<Vec<ShardStats>> {
+        self.kv_client().map(|c| c.shard_stats().to_vec())
+    }
+
+    /// Completed requests per shard (`None` without a client).
+    #[must_use]
+    pub fn completed_per_shard(&self) -> Option<Vec<u64>> {
+        let stats = self.kv_client()?.shard_stats();
+        Some(stats.iter().map(|s| s.completed).collect())
+    }
+
+    /// Total completed requests across shards (0 without a client).
+    #[must_use]
+    pub fn total_completed(&self) -> u64 {
+        let stats = self.kv_client().map_or(&[][..], ClientHost::shard_stats);
+        stats.iter().map(|s| s.completed).sum()
+    }
+
+    /// Take (and reset) one shard's windowed latency histogram (µs) from
+    /// the client (`None` without one). Take once to discard warm-up,
+    /// again after the window of interest.
+    pub fn take_latency_window(&mut self, shard: ShardId) -> Option<Histogram> {
+        self.kv_client_mut().map(|c| c.take_latency_window(shard))
+    }
+
+    /// Repoint the client's placement row for `shard`: replica `from`
+    /// (world id) is replaced by `to`. Called by the rebalancer after the
+    /// final configuration commits, so client traffic follows the data.
+    /// No-op without a client.
+    pub fn repoint_shard(&mut self, shard: ShardId, from: NodeId, to: NodeId) {
+        if let Some(c) = self.kv_client_mut() {
+            c.repoint(shard, from, to);
         }
     }
 }
@@ -920,5 +961,36 @@ mod tests {
             "latency {}",
             s.latency_ms.mean()
         );
+    }
+
+    #[test]
+    fn client_accessors_answer_for_every_client_shape() {
+        // One client serves both worlds, so every accessor must answer
+        // (and `.recording()` must reach the client) whatever the shard
+        // count.
+        let spec = WorkloadSpec::steady(300.0, Duration::from_secs(5))
+            .starting_at(Duration::from_secs(3))
+            .mix(OpMix::read_mostly())
+            .recording();
+        let builder = ScenarioBuilder::cluster(3)
+            .tuning(TuningConfig::raft_default())
+            .seed(4)
+            .workload(spec);
+        let worlds = [
+            builder.clone().build_sim(),
+            builder.shards(2).build_sharded_sim(),
+        ];
+        for (shards, mut sim) in [1, 2].into_iter().zip(worlds) {
+            sim.run_until(SimTime::from_secs(10));
+            assert!(sim.client_steps().is_some(), "{shards} shard(s): steps");
+            let trace = sim.client_trace().expect("client attached");
+            assert!(!trace.is_empty(), "{shards} shard(s): trace recorded");
+            assert_eq!(crate::observers::stale_read_violations(&trace), 0);
+            let stats = sim.shard_stats().expect("client attached");
+            assert_eq!(stats.len(), shards);
+            let total = sim.total_completed();
+            assert!(total > 0, "{shards} shard(s): nothing completed");
+            assert_eq!(total, stats.iter().map(|s| s.completed).sum::<u64>());
+        }
     }
 }
